@@ -1,7 +1,10 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -389,13 +392,28 @@ func flatJoin(r, s *Relation, li int, op Cmp, ri int, mode JoinMode, nestAs stri
 	case NestJoin, NestOuterJoin:
 		out = NewRelation(&Schema{Attrs: append(append([]Attr{}, r.Schema.Attrs...), Attr{Name: nestAs, Nested: s.Schema})})
 	}
-	for _, t := range r.Tuples {
+	// matchesOf lists, in s's order, the tuples of s joining with t. A
+	// structural predicate over (pre, post, depth) identifiers takes them
+	// from an index of s; everything else compares t against all of s.
+	matchesOf := func(t Tuple) []Tuple {
 		var matches []Tuple
 		for _, u := range s.Tuples {
 			if op.Apply(t[li], u[ri]) {
 				matches = append(matches, u)
 			}
 		}
+		return matches
+	}
+	// Sorting s costs about |s|·log|s| comparisons, the loop |r|·|s|: the
+	// index pays for itself once the outer side outnumbers log|s| (with a
+	// factor for the dearer sort step), and an empty outer side needs neither.
+	if len(r.Tuples) > 2*bits.Len(uint(len(s.Tuples))) {
+		if ix := newStructIndex(r, s, li, op, ri); ix != nil {
+			matchesOf = ix.matchesOf
+		}
+	}
+	for _, t := range r.Tuples {
+		matches := matchesOf(t)
 		switch mode {
 		case InnerJoin:
 			for _, u := range matches {
@@ -426,6 +444,111 @@ func flatJoin(r, s *Relation, li int, op Cmp, ri int, mode JoinMode, nestAs stri
 		}
 	}
 	return out, nil
+}
+
+// structIndex answers "which tuples of the inner relation does this outer
+// identifier structurally contain" without comparing it against every one.
+// Inner identifiers are sorted by pre (per depth, for the parent predicate)
+// with, beside each, the smallest post from there to the end of its run:
+// the descendants of (pre, post) are the entries after the first pre greater
+// than it whose post is smaller, and once the running minimum reaches post
+// no later entry can qualify. On identifiers of one document — where a
+// subtree is a contiguous pre range — the scan touches matches only, so a
+// join costs O((n + out)·log m) instead of n·m value comparisons; on
+// arbitrary identifiers it is still exact, every candidate being confirmed
+// by op.Apply. Matches are returned in the inner relation's own order.
+type structIndex struct {
+	s       *Relation
+	li, ri  int
+	op      Cmp
+	entries []structEntry // sorted by (depth if op == Parent, pre)
+	minPost []int32       // minPost[i] = min post over entries[i:] of the same run
+	hits    []int         // scratch: positions in s.Tuples of one outer's matches
+}
+
+type structEntry struct {
+	pre, post, depth int32
+	pos              int // position in s.Tuples
+}
+
+// newStructIndex builds the index when op is structural and both join
+// columns hold only (pre, post, depth) identifiers or ⊥; otherwise (Dewey
+// identifiers, mixed kinds, value comparators) it returns nil and the caller
+// keeps the nested loop.
+func newStructIndex(r, s *Relation, li int, op Cmp, ri int) *structIndex {
+	if op != Parent && op != Ancestor {
+		return nil
+	}
+	for _, t := range r.Tuples {
+		if k := t[li].Kind; k != ID && k != Null {
+			return nil
+		}
+	}
+	ix := &structIndex{s: s, li: li, ri: ri, op: op, entries: make([]structEntry, 0, len(s.Tuples))}
+	for pos, u := range s.Tuples {
+		switch v := &u[ri]; v.Kind {
+		case ID:
+			ix.entries = append(ix.entries, structEntry{v.ID.Pre, v.ID.Post, v.ID.Depth, pos})
+		case Null:
+		default:
+			return nil
+		}
+	}
+	slices.SortFunc(ix.entries, func(a, b structEntry) int {
+		if op == Parent && a.depth != b.depth {
+			return cmp.Compare(a.depth, b.depth)
+		}
+		if a.pre != b.pre {
+			return cmp.Compare(a.pre, b.pre)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	ix.minPost = make([]int32, len(ix.entries))
+	for i := len(ix.entries) - 1; i >= 0; i-- {
+		e := ix.entries[i]
+		ix.minPost[i] = e.post
+		// A run is all entries for the ancestor predicate, one depth for
+		// the parent predicate.
+		if i+1 < len(ix.entries) && (op != Parent || e.depth == ix.entries[i+1].depth) && ix.minPost[i+1] < e.post {
+			ix.minPost[i] = ix.minPost[i+1]
+		}
+	}
+	return ix
+}
+
+func (ix *structIndex) matchesOf(t Tuple) []Tuple {
+	v := &t[ix.li]
+	if v.Kind != ID {
+		return nil
+	}
+	id := v.ID
+	// First entry of the run with pre > id.Pre.
+	start := sort.Search(len(ix.entries), func(i int) bool {
+		e := ix.entries[i]
+		if ix.op == Parent && e.depth != id.Depth+1 {
+			return e.depth > id.Depth+1
+		}
+		return e.pre > id.Pre
+	})
+	ix.hits = ix.hits[:0]
+	for i := start; i < len(ix.entries) && ix.minPost[i] < id.Post; i++ {
+		e := ix.entries[i]
+		if ix.op == Parent && e.depth != id.Depth+1 {
+			break
+		}
+		if e.post < id.Post && ix.op.Apply(*v, ix.s.Tuples[e.pos][ix.ri]) {
+			ix.hits = append(ix.hits, e.pos)
+		}
+	}
+	if len(ix.hits) == 0 {
+		return nil
+	}
+	slices.Sort(ix.hits)
+	matches := make([]Tuple, len(ix.hits))
+	for i, pos := range ix.hits {
+		matches[i] = ix.s.Tuples[pos]
+	}
+	return matches
 }
 
 // mapJoin applies the join inside the nested collection reached by lidx,

@@ -275,7 +275,6 @@ func measureOverhead(ctx context.Context, cfg ObsConfig) (*ObsOverhead, error) {
 				return
 			default:
 			}
-			mon.SyncStateGauges()
 			_ = mon.Registry().Snapshot().WriteProm(io.Discard)
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -103,7 +103,7 @@ func (pe *planEnv) planner(opts rewrite.Options) *rewrite.Rewriter {
 }
 
 // Extent materialization states, readable lock-free by monitoring surfaces
-// (SyncStateGauges, Catalog) while a build holds the slot mutex.
+// (syncStateGauges, Catalog) while a build holds the slot mutex.
 const (
 	xsUnbuilt int32 = iota
 	xsBuilt
@@ -278,7 +278,7 @@ const DefaultWorkloadTopK = 128
 // optimizer stops after a handful of plans per pattern; raise Opts.MaxPlans
 // to explore exhaustively.
 func New() *Engine {
-	return &Engine{
+	e := &Engine{
 		docs:           map[string]*docState{},
 		FallbackToBase: true,
 		UseBatch:       true,
@@ -287,6 +287,8 @@ func New() *Engine {
 		QueryLog:       obs.NewQueryLog(DefaultQueryLogSize, DefaultSlowQueryThreshold),
 		Workload:       obs.NewWorkloadStats(DefaultWorkloadTopK),
 	}
+	e.m() // registers the state-gauge collector before the first snapshot
+	return e
 }
 
 func (e *Engine) metrics() *obs.Registry {
@@ -304,6 +306,10 @@ func (e *Engine) m() *engineMetrics {
 		return ms
 	}
 	ms := newEngineMetrics(reg)
+	// The state gauges mirror planning snapshots; recompute them whenever
+	// anyone reads the registry, so no reader depends on a scrape handler
+	// having synced them first.
+	reg.OnSnapshot("engine.state_gauges", e.syncStateGauges)
 	// Racing rebuilds converge: every store for the same registry carries
 	// equivalent handles, and registry swaps are a pre-serving config step.
 	//xamlint:allow snapshot(idempotent rebuild; racing stores publish equivalent handle sets for the same registry)
@@ -707,9 +713,10 @@ func (e *Engine) Query(src string) (string, *Report, error) {
 // planning and execution (physical plans stop at their next cancellation
 // checkpoint). A non-zero QueryTimeout is applied on top of ctx. On error
 // the partial *Report gathered so far is returned alongside it, so
-// degradation telemetry is never discarded.
+// degradation telemetry is never discarded. It is QueryResult with the
+// answer copied into a string, for library callers and tests.
 func (e *Engine) QueryContext(ctx context.Context, src string) (string, *Report, error) {
-	return e.run(ctx, src, false)
+	return resultString(e.run(ctx, src, false))
 }
 
 // Analyze is Query with per-operator instrumentation (EXPLAIN ANALYZE):
@@ -722,11 +729,35 @@ func (e *Engine) Analyze(src string) (string, *Report, error) {
 
 // AnalyzeContext is Analyze under a context.
 func (e *Engine) AnalyzeContext(ctx context.Context, src string) (string, *Report, error) {
+	return resultString(e.run(ctx, src, true))
+}
+
+// QueryResult is QueryContext returning the answer in its pooled buffer
+// instead of a string — what a server writes to the wire. The caller must
+// Release the Result (nil on error) when done with its bytes.
+func (e *Engine) QueryResult(ctx context.Context, src string) (*Result, *Report, error) {
+	return e.run(ctx, src, false)
+}
+
+// AnalyzeResult is AnalyzeContext returning the answer as QueryResult does.
+func (e *Engine) AnalyzeResult(ctx context.Context, src string) (*Result, *Report, error) {
 	return e.run(ctx, src, true)
 }
 
-// run is the shared query path of QueryContext and AnalyzeContext.
-func (e *Engine) run(ctx context.Context, src string, analyze bool) (out string, report *Report, err error) {
+// resultString copies a run's answer out of its pooled buffer.
+func resultString(res *Result, report *Report, err error) (string, *Report, error) {
+	defer res.Release()
+	return string(res.Bytes()), report, err
+}
+
+// run is the one query path. Whatever executes the plans — the batch
+// pipeline, the row or logical evaluators, a base scan — its rows go through
+// one compiled template writer into one pooled buffer. A single-pattern
+// query without value joins streams: the winning plan's batches are written
+// as the root iterator produces them. Several patterns (or value joins)
+// first combine into a relation, which is then written through the same
+// writer.
+func (e *Engine) run(ctx context.Context, src string, analyze bool) (res *Result, report *Report, err error) {
 	m := e.m()
 	m.queries.Inc()
 	m.inflight.Add(1)
@@ -734,7 +765,7 @@ func (e *Engine) run(ctx context.Context, src string, analyze bool) (out string,
 	tr := obs.NewTrace("query")
 	report = &Report{Trace: tr}
 	fp := fingerprintSource(src) // refined to the pattern fingerprint below
-	var rowsOut int64
+	sink := &resultSink{res: newResult(), budget: physical.BudgetFrom(ctx)}
 	defer func() {
 		tr.End()
 		dur := time.Since(start)
@@ -746,8 +777,11 @@ func (e *Engine) run(ctx context.Context, src string, analyze bool) (out string,
 		}
 		if err != nil {
 			m.queryErrors.Inc()
+			// A failed or killed query returns nothing, not a partial answer.
+			sink.res.Release()
+			res = nil
 		}
-		e.logQuery(src, fp, start, dur, report, rowsOut, err)
+		e.logQuery(src, fp, start, dur, report, sink.rows, err)
 	}()
 	if e.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -758,13 +792,13 @@ func (e *Engine) run(ctx context.Context, src string, analyze bool) (out string,
 	q, err := xquery.Parse(src)
 	span.End()
 	if err != nil {
-		return "", report, err
+		return nil, report, err
 	}
 	span = tr.StartSpan(nil, "extract")
 	ex, err := xquery.Extract(q)
 	span.End()
 	if err != nil {
-		return "", report, err
+		return nil, report, err
 	}
 	fp = fingerprintPatterns(ex.Patterns)
 	if !analyze && e.instrumentSlow(fp) {
@@ -773,21 +807,27 @@ func (e *Engine) run(ctx context.Context, src string, analyze bool) (out string,
 		// stats for the recurrence.
 		analyze = true
 	}
+	streaming := len(ex.Patterns) == 1 && len(ex.Joins) == 0
 	var combined *algebra.Relation
 	for i, pat := range ex.Patterns {
 		if err := ctx.Err(); err != nil {
-			return "", report, err
+			return nil, report, err
 		}
 		report.Patterns = append(report.Patterns, pat.String())
 		st, err := e.state(ex.DocNames[i])
 		if err != nil {
-			return "", report, err
+			return nil, report, err
+		}
+		var out *resultSink
+		if streaming {
+			sink.w = algebra.NewResultWriter(ex.Template, pat.Schema())
+			out = sink
 		}
 		pspan := tr.StartSpan(nil, fmt.Sprintf("pattern[%d]", i))
-		rel, planDesc, ops, err := e.answerPattern(ctx, st, i, pat, report, tr, pspan, analyze)
+		rel, planDesc, ops, err := e.answerPattern(ctx, st, i, pat, report, tr, pspan, analyze, out)
 		pspan.End()
 		if err != nil {
-			return "", report, err
+			return nil, report, err
 		}
 		report.Plans = append(report.Plans, planDesc)
 		if analyze {
@@ -799,25 +839,22 @@ func (e *Engine) run(ctx context.Context, src string, analyze bool) (out string,
 			combined = algebra.Product(combined, rel)
 		}
 	}
+	if streaming {
+		return sink.res, report, nil
+	}
 	span = tr.StartSpan(nil, "serialize")
 	defer span.End()
 	for _, j := range ex.Joins {
 		combined, err = applyJoin(combined, j)
 		if err != nil {
-			return "", report, err
+			return nil, report, err
 		}
 	}
-	nodes, err := algebra.XMLize(combined, ex.Template)
-	if err != nil {
-		return "", report, err
+	sink.w = algebra.NewResultWriter(ex.Template, combined.Schema)
+	if err := sink.writeRelation(ctx, combined); err != nil {
+		return nil, report, err
 	}
-	rowsOut = int64(len(nodes))
-	// The rows-out quota is checked before serialization: an over-quota
-	// result is discarded, never partially streamed.
-	if err := physical.BudgetFrom(ctx).CheckRowsOut(rowsOut); err != nil {
-		return "", report, err
-	}
-	return algebra.SerializeNodes(nodes), report, nil
+	return sink.res, report, nil
 }
 
 // patternHasValuePred reports whether any node of the query pattern carries
@@ -853,7 +890,12 @@ func abortErr(err error) bool {
 // unreferenced views cost nothing. Every step down is recorded in
 // report.Degradations and in the engine's metrics. Only context
 // cancellation and base-scan failure abort the query.
-func (e *Engine) answerPattern(ctx context.Context, st *docState, patIdx int, pat *xam.Pattern, report *Report, tr *obs.Trace, pspan *obs.Span, analyze bool) (*algebra.Relation, string, *physical.OpStats, error) {
+//
+// With a sink, the winning plan's rows are written into it as they are
+// produced and no relation is returned; whatever a failed plan had written
+// is rewound before the next one starts. Without one (the query has more
+// patterns to combine) the pattern's relation is returned.
+func (e *Engine) answerPattern(ctx context.Context, st *docState, patIdx int, pat *xam.Pattern, report *Report, tr *obs.Trace, pspan *obs.Span, analyze bool, sink *resultSink) (*algebra.Relation, string, *physical.OpStats, error) {
 	m := e.m()
 	budget := physical.BudgetFrom(ctx)
 	degrade := func(plan string, err error) {
@@ -890,7 +932,7 @@ func (e *Engine) answerPattern(ctx context.Context, st *docState, patIdx int, pa
 			}
 			espan := tr.StartSpan(pspan, "execute")
 			exStart := time.Now()
-			rel, ops, err := e.execPlan(ctx, plan, env, analyze, report)
+			rel, ops, err := e.execPlan(ctx, plan, env, analyze, report, sink)
 			m.executeNS.Since(exStart)
 			espan.End()
 			if err == nil {
@@ -931,6 +973,14 @@ func (e *Engine) answerPattern(ctx context.Context, st *docState, patIdx int, pa
 	bspan := tr.StartSpan(pspan, "execute")
 	exStart := time.Now()
 	rel, err := evalBase(pat, st.doc)
+	var baseRows int64
+	if err == nil {
+		baseRows = int64(rel.Len())
+		if sink != nil {
+			err = sink.writeRelation(ctx, rel)
+			rel = nil // written, not returned
+		}
+	}
 	exTime := time.Since(exStart)
 	m.executeNS.ObserveDuration(exTime)
 	bspan.End()
@@ -941,8 +991,8 @@ func (e *Engine) answerPattern(ctx context.Context, st *docState, patIdx int, pa
 	if analyze {
 		ops = &physical.OpStats{
 			Label:     "base scan (direct evaluation)",
-			Rows:      int64(rel.Len()),
-			NextCalls: int64(rel.Len()),
+			Rows:      baseRows,
+			NextCalls: baseRows,
 			Time:      exTime,
 		}
 	}
@@ -953,8 +1003,23 @@ func (e *Engine) answerPattern(ctx context.Context, st *docState, patIdx int, pa
 // operator bug in a plan degrades to the next plan instead of killing the
 // process. Cancellation panics keep their context error. With analyze set,
 // the plan runs through the instrumented physical path and the operator
-// stats tree is returned.
-func (e *Engine) execPlan(ctx context.Context, plan *rewrite.Rewriting, env rewrite.Env, analyze bool, report *Report) (rel *algebra.Relation, ops *physical.OpStats, err error) {
+// stats tree is returned. With a sink the plan's output is written into it
+// (and rewound on failure) instead of being returned: batch by batch from
+// the batch pipeline, as a relation from the other executors. Either way
+// the output meets the query pattern's schema by position, so only a
+// returned relation needs the AlignSchema rename.
+func (e *Engine) execPlan(ctx context.Context, plan *rewrite.Rewriting, env rewrite.Env, analyze bool, report *Report, sink *resultSink) (rel *algebra.Relation, ops *physical.OpStats, err error) {
+	if sink != nil {
+		// A failed plan's partial output must not precede its replacement's.
+		// An aborted query keeps its count for the log; run discards the
+		// whole buffer.
+		n, rows := len(sink.res.buf), sink.rows
+		defer func() {
+			if err != nil && !abortErr(err) {
+				sink.rewind(n, rows)
+			}
+		}()
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			if c, ok := p.(*physical.Cancelled); ok {
@@ -971,39 +1036,41 @@ func (e *Engine) execPlan(ctx context.Context, plan *rewrite.Rewriting, env rewr
 			rel, err = nil, fmt.Errorf("engine: plan execution panic: %v", p)
 		}
 	}()
-	if analyze {
-		if e.UsePhysical && e.UseBatch {
-			var info rewrite.BatchExecInfo
-			rel, ops, info, err = rewrite.ExecuteBatchAnalyzeContext(ctx, plan.Plan, env)
-			e.recordBatchExec(info, report)
-		} else {
-			rel, ops, err = rewrite.ExecutePhysicalAnalyzeContext(ctx, plan.Plan, env)
+	batch := e.UsePhysical && e.UseBatch
+	switch {
+	case batch && sink != nil:
+		var info rewrite.BatchExecInfo
+		ops, info, err = rewrite.ExecuteBatchEachContext(ctx, plan.Plan, env, analyze, sink.writeBatch)
+		e.recordBatchExec(info, report)
+		return nil, ops, err
+	case batch && analyze:
+		var info rewrite.BatchExecInfo
+		rel, ops, info, err = rewrite.ExecuteBatchAnalyzeContext(ctx, plan.Plan, env)
+		e.recordBatchExec(info, report)
+	case batch:
+		var info rewrite.BatchExecInfo
+		rel, info, err = rewrite.ExecuteBatchContext(ctx, plan.Plan, env)
+		e.recordBatchExec(info, report)
+	case analyze:
+		rel, ops, err = rewrite.ExecutePhysicalAnalyzeContext(ctx, plan.Plan, env)
+	case e.UsePhysical:
+		rel, err = rewrite.ExecutePhysicalContext(ctx, plan.Plan, env)
+	default:
+		// The logical evaluator is materialized end-to-end; check the context
+		// at the boundary rather than per tuple.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		if err == nil {
-			rel, err = renamePhysical(rel, plan)
-		}
-		return rel, ops, err
+		rel, err = plan.Plan.Execute(env)
 	}
-	if e.UsePhysical {
-		if e.UseBatch {
-			var info rewrite.BatchExecInfo
-			rel, info, err = rewrite.ExecuteBatchContext(ctx, plan.Plan, env)
-			e.recordBatchExec(info, report)
-		} else {
-			rel, err = rewrite.ExecutePhysicalContext(ctx, plan.Plan, env)
-		}
-		if err == nil {
-			rel, err = renamePhysical(rel, plan)
-		}
-		return rel, nil, err
+	if err != nil {
+		return nil, ops, err
 	}
-	// The logical evaluator is materialized end-to-end; check the context
-	// at the boundary rather than per tuple.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	if sink != nil {
+		return nil, ops, sink.writeRelation(ctx, rel)
 	}
-	rel, err = plan.Execute(env)
-	return rel, nil, err
+	rel, err = plan.AlignSchema(rel)
+	return rel, ops, err
 }
 
 // recordBatchExec folds one batch execution's accounting into the engine
@@ -1035,14 +1102,6 @@ func evalBase(pat *xam.Pattern, doc *xmltree.Document) (rel *algebra.Relation, e
 		}
 	}()
 	return pat.Eval(doc)
-}
-
-// renamePhysical aligns a physically-executed plan's output with the query
-// pattern's schema, as Rewriting.Execute does for the logical path —
-// including nested collection schemas, which carry their own attribute
-// names inside each tuple.
-func renamePhysical(rel *algebra.Relation, rw *rewrite.Rewriting) (*algebra.Relation, error) {
-	return rw.AlignSchema(rel)
 }
 
 func applyJoin(r *algebra.Relation, j xquery.ValueJoin) (*algebra.Relation, error) {

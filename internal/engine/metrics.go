@@ -33,8 +33,9 @@ const (
 	MetricBatches        = "engine.batches"
 	MetricBatchFallbacks = "engine.batch_fallbacks"
 
-	// State gauges, synced from the planning snapshots by SyncStateGauges
-	// (scrape time), not maintained on the query path.
+	// State gauges, recomputed from the planning snapshots by
+	// syncStateGauges on every Registry.Snapshot (an OnSnapshot collector),
+	// not maintained on the query path.
 	MetricPlanCacheSize      = "engine.plan_cache_size"
 	MetricViewExtentsBuilt   = "engine.view_extents_built"
 	MetricViewExtentsUnbuilt = "engine.view_extents_unbuilt"
@@ -113,13 +114,14 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 // export.
 func (e *Engine) Registry() *obs.Registry { return e.metrics() }
 
-// SyncStateGauges recomputes the externally visible planning-state gauges
+// syncStateGauges recomputes the externally visible planning-state gauges
 // — plan-cache entries and per-view extent states (built / unbuilt /
-// failed) summed over every document's current snapshot. It is called at
-// scrape time (serve's /metrics handler, uload -metrics) rather than
-// maintained on the query path, so lazy materialization stays observable
-// without taxing queries.
-func (e *Engine) SyncStateGauges() {
+// failed) summed over every document's current snapshot. The engine
+// registers it as its registry's OnSnapshot collector, so it runs whenever
+// the metrics are read — /metrics, uload -metrics, bench JSON, a bare
+// Metrics.Snapshot() — rather than on the query path: lazy materialization
+// stays observable without taxing queries, and no reader sees stale zeros.
+func (e *Engine) syncStateGauges() {
 	m := e.m()
 	var cacheEntries, built, unbuilt, failed int64
 	e.mu.RLock()

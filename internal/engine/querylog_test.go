@@ -157,7 +157,6 @@ func TestStateGaugesAndCatalog(t *testing.T) {
 	}
 	gauge := func(name string) int64 {
 		t.Helper()
-		e.SyncStateGauges()
 		return e.Metrics.Snapshot().Gauges[name]
 	}
 	assertExtent(ExtentUnbuilt)

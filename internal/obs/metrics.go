@@ -214,6 +214,9 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// collectors run at the start of every Snapshot, keyed by owner so that
+	// re-registering replaces instead of stacking.
+	collectors map[string]func()
 }
 
 // NewRegistry creates an empty registry.
@@ -303,8 +306,34 @@ type Snapshot struct {
 	Labeled []LabeledFamily `json:"-"`
 }
 
-// Snapshot copies the registry's current values.
+// OnSnapshot registers fn to run at the start of every Snapshot, before the
+// values are copied: the hook for gauges that mirror state kept elsewhere
+// (e.g. the engine's plan-cache size) and are cheaper to recompute when read
+// than to maintain on the hot path. Every reader of the registry — /metrics,
+// uload -metrics, bench JSON, a bare Snapshot() — then sees them current. A
+// later registration under the same name replaces the earlier one. fn runs
+// without the registry lock held and may use the registry.
+func (r *Registry) OnSnapshot(name string, fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.collectors == nil {
+		r.collectors = map[string]func(){}
+	}
+	r.collectors[name] = fn
+}
+
+// Snapshot copies the registry's current values, after running the
+// OnSnapshot collectors.
 func (r *Registry) Snapshot() *Snapshot {
+	r.mu.Lock()
+	collectors := make([]func(), 0, len(r.collectors))
+	for _, fn := range r.collectors {
+		collectors = append(collectors, fn)
+	}
+	r.mu.Unlock()
+	for _, fn := range collectors {
+		fn()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := &Snapshot{

@@ -76,11 +76,11 @@ type BatchIterator interface {
 // unwinding through the Cancelled panic protocol exactly like Checkpoint.
 func batchCancelCheck(ctx context.Context, budget *Budget, n int64) {
 	if err := ctx.Err(); err != nil {
-		//xamlint:allow nopanic(cancellation protocol: typed panic unwinds the iterator tree and is recovered by DrainBatchesContext)
+		//xamlint:allow nopanic(cancellation protocol: typed panic unwinds the iterator tree and is recovered by EachBatchContext)
 		panic(&Cancelled{Err: err})
 	}
 	if err := budget.ChargeTuples(n); err != nil {
-		//xamlint:allow nopanic(cancellation protocol: quota kill unwinds like a deadline and is recovered by DrainBatchesContext)
+		//xamlint:allow nopanic(cancellation protocol: quota kill unwinds like a deadline and is recovered by EachBatchContext)
 		panic(&Cancelled{Err: err})
 	}
 }
@@ -641,34 +641,49 @@ func (u *Unbatch) Next() (algebra.Tuple, bool) {
 	return t, true
 }
 
-// DrainBatchesContext materializes a batch iterator into a relation,
-// honoring the context per batch and recovering *Cancelled panics raised by
-// batch leaves (and by row Checkpoints under Rebatch adapters). It returns
-// the number of batches drained, the engine.batches accounting source.
-func DrainBatchesContext(ctx context.Context, it BatchIterator) (rel *algebra.Relation, batches int64, err error) {
+// EachBatchContext pulls every batch of it and hands it to fn, honoring the
+// context per batch and recovering *Cancelled panics raised by batch leaves
+// (and by row Checkpoints under Rebatch adapters). It is the root of the
+// production result path: fn writes the batch's live rows out straight from
+// the column vectors, so nothing is pivoted into tuples. A non-nil error
+// from fn stops the pull. It returns the number of batches pulled, the
+// engine.batches accounting source.
+func EachBatchContext(ctx context.Context, it BatchIterator, fn func(*Batch) error) (batches int64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if c, ok := p.(*Cancelled); ok {
-				rel, err = nil, c.Err
+				err = c.Err
 				return
 			}
 			panic(p)
 		}
 	}()
-	out := algebra.NewRelation(it.Schema())
-	w := len(it.Schema().Attrs)
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, batches, err
+			return batches, err
 		}
 		b, ok := it.NextBatch()
 		if !ok {
-			return out, batches, nil
+			return batches, nil
 		}
 		batches++
+		if err := fn(b); err != nil {
+			return batches, err
+		}
+	}
+}
+
+// DrainBatchesContext materializes a batch iterator into a relation under
+// the EachBatchContext protocol, pivoting each batch's live rows into
+// row-major tuples: the form blocking plan nodes (and callers that want a
+// Relation) consume.
+func DrainBatchesContext(ctx context.Context, it BatchIterator) (*algebra.Relation, int64, error) {
+	out := algebra.NewRelation(it.Schema())
+	w := len(it.Schema().Attrs)
+	batches, err := EachBatchContext(ctx, it, func(b *Batch) error {
 		rows := b.Rows()
 		if rows == 0 {
-			continue
+			return nil
 		}
 		backing := make([]algebra.Value, rows*w)
 		for i := 0; i < rows; i++ {
@@ -679,5 +694,10 @@ func DrainBatchesContext(ctx context.Context, it BatchIterator) (rel *algebra.Re
 			}
 			out.Tuples = append(out.Tuples, t)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, batches, err
 	}
+	return out, batches, nil
 }

@@ -34,14 +34,8 @@ type BatchExecInfo struct {
 // ExecutePhysicalContext in the same order (checked by the differential
 // tests); the batch path exists for throughput, not semantics.
 func ExecuteBatchContext(ctx context.Context, p Plan, env Env) (*algebra.Relation, BatchExecInfo, error) {
-	c := &batchCompiler{ctx: ctx, env: env}
-	it, _, err := c.compile(p)
-	if err != nil {
-		return nil, c.info(), err
-	}
-	rel, n, err := physical.DrainBatchesContext(ctx, it)
-	c.batches += n
-	return rel, c.info(), err
+	rel, _, info, err := executeBatchDrain(ctx, p, env, false)
+	return rel, info, err
 }
 
 // ExecuteBatchAnalyzeContext is ExecuteBatchContext with instrumentation:
@@ -49,14 +43,35 @@ func ExecuteBatchContext(ctx context.Context, p Plan, env Env) (*algebra.Relatio
 // batch counts alongside rows and time. On execution error the
 // partially-filled stats tree is still returned.
 func ExecuteBatchAnalyzeContext(ctx context.Context, p Plan, env Env) (*algebra.Relation, *physical.OpStats, BatchExecInfo, error) {
-	c := &batchCompiler{ctx: ctx, env: env, instr: true}
+	return executeBatchDrain(ctx, p, env, true)
+}
+
+func executeBatchDrain(ctx context.Context, p Plan, env Env, instr bool) (*algebra.Relation, *physical.OpStats, BatchExecInfo, error) {
+	c := &batchCompiler{ctx: ctx, env: env, instr: instr}
 	it, stats, err := c.compile(p)
 	if err != nil {
 		return nil, stats, c.info(), err
 	}
-	rel, n, err := physical.DrainBatchesContext(ctx, it)
-	c.batches += n
+	rel, err := c.drain(it)
 	return rel, stats, c.info(), err
+}
+
+// ExecuteBatchEachContext compiles the plan onto the batch operators and
+// hands the root iterator's batches to fn as they are produced, instead of
+// draining them into a relation: the production result path, where fn
+// writes each batch's rows out. With analyze set every plan node is
+// instrumented as in ExecuteBatchAnalyzeContext. Batches carry the plan's
+// own attribute naming; they align with the query pattern's schema by
+// position (what AlignSchema renames for relation consumers).
+func ExecuteBatchEachContext(ctx context.Context, p Plan, env Env, analyze bool, fn func(*physical.Batch) error) (*physical.OpStats, BatchExecInfo, error) {
+	c := &batchCompiler{ctx: ctx, env: env, instr: analyze}
+	it, stats, err := c.compile(p)
+	if err != nil {
+		return stats, c.info(), err
+	}
+	n, err := physical.EachBatchContext(ctx, it, fn)
+	c.batches += n
+	return stats, c.info(), err
 }
 
 // batchCompiler carries compilation state: the execution context, the view

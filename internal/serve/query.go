@@ -32,7 +32,10 @@ type queryRequest struct {
 }
 
 // queryResponse is the POST /query response. Outcome uses the admission
-// wire names; RetryAfterS mirrors the Retry-After header on 429/503.
+// wire names; RetryAfterS mirrors the Retry-After header on 429/503. The
+// server writes it with writeQueryResponse — compact, result last and taken
+// from the engine's buffer rather than from Result — so the struct doubles
+// as the schema clients (and the tests) decode into.
 type queryResponse struct {
 	Outcome      string   `json:"outcome"`
 	Result       string   `json:"result,omitempty"`
@@ -80,7 +83,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		out    string
+		out    *engine.Result
 		rep    *engine.Report
 		start  = time.Now()
 		runFn  func(ctx context.Context) error
@@ -96,17 +99,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.Analyze:
 		runFn = func(ctx context.Context) error {
 			var err error
-			out, rep, err = s.e.AnalyzeContext(ctx, req.Query)
+			out, rep, err = s.e.AnalyzeResult(ctx, req.Query)
 			return err
 		}
 	default:
 		runFn = func(ctx context.Context) error {
 			var err error
-			out, rep, err = s.e.QueryContext(ctx, req.Query)
+			out, rep, err = s.e.QueryResult(ctx, req.Query)
 			return err
 		}
 	}
 	res := s.ctrl.Do(r.Context(), time.Duration(req.TimeoutMS)*time.Millisecond, runFn)
+	defer out.Release() // nil unless the query was served
 	if !res.Ran {
 		// The engine never saw the query: record the shed/cancel here so the
 		// query log accounts every request, same as the admission counters.
@@ -129,10 +133,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Analyze = rep.AnalyzeString()
 		}
 	}
+	var result []byte
 	status := http.StatusOK
 	switch res.Outcome {
 	case admission.OutcomeServed:
-		resp.Result = out
+		result = out.Bytes()
 	case admission.OutcomeErrored, admission.OutcomeQuotaKilled:
 		status = http.StatusUnprocessableEntity
 	case admission.OutcomeDeadline:
@@ -153,9 +158,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	// The status line is out; a failed write means the client went away.
+	_ = writeQueryResponse(w, &resp, result)
 }
 
 // logShed records a request the admission layer rejected (or that was

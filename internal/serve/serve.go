@@ -188,11 +188,11 @@ func (s *Server) Serve(ctx context.Context) error {
 	}
 }
 
-// handleMetrics syncs the planning-state gauges and writes the registry
-// snapshot in Prometheus text format, with the workload observatory's
-// top-K fingerprint and per-view series attached as labeled families.
+// handleMetrics writes the registry snapshot (state gauges recomputed by
+// the engine's snapshot collector) in Prometheus text format, with the
+// workload observatory's top-K fingerprint and per-view series attached as
+// labeled families.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.e.SyncStateGauges()
 	snap := s.e.Registry().Snapshot()
 	snap.Labeled = s.e.Workload.PromFamilies(promWorkloadTopK)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -297,3 +297,54 @@ func TestDescendantsAndWalkStop(t *testing.T) {
 		t.Fatalf("walk visited %d, want 2", count)
 	}
 }
+
+func TestCanonicalContent(t *testing.T) {
+	canonical := []string{
+		`<a/>`,
+		`<a>x</a>`,
+		`<a id="1" n="two words"/>`,
+		`<a t="&lt;&amp;&quot; > '">x &lt; y &gt; z &amp; w</a>`,
+		`<a><b/>tail<c k="v">deep<d/></c></a>`,
+		"<a> x</a>",
+		"<a>\xff</a>", // invalid UTF-8 is not space: the parser keeps it
+		`<ns:a-b.c _x="1">é</ns:a-b.c>`,
+		`<article key="k"><title>T<i>x</i> y</title><year>1999</year></article>`,
+	}
+	for _, s := range canonical {
+		if !CanonicalContent(s) {
+			t.Errorf("CanonicalContent(%q) = false, want true", s)
+		}
+		doc, err := Parse("c", s)
+		if err != nil || doc.Serialize() != s {
+			t.Errorf("%q is not a Parse→Serialize fixpoint (err %v)", s, err)
+		}
+	}
+	notCanonical := []string{
+		``, `x`, ` <a/>`, `<a/> `, `<a/><b/>`, `<a/>x`,
+		`<a></a>`, `<a> </a>`, `<a> <b/></a>`, `<a><b/> </a>`, "<a> </a>", "<a>\n</a>",
+		`<a />`, `<a id='1'/>`, `<a id = "1"/>`, `<a  id="1"/>`, `<a id="1" />`, `<a id="1"b="2"/>`, `<a id="1"`,
+		`<a t="<"/>`, `<a t="&gt;"/>`, `<a t="&apos;"/>`, `<a t="&#65;"/>`, `<a t="&"/>`,
+		`<a>x > y</a>`, `<a>&quot;</a>`, `<a>&apos;</a>`, `<a>&#x41;</a>`, `<a>&bogus;</a>`, `<a>&amp</a>`,
+		`<a><!-- c --></a>`, `<a>x<!-- c -->y</a>`, `<a><![CDATA[x]]></a>`, `<a><?pi?></a>`,
+		`<?xml version="1.0"?><a/>`, `<!DOCTYPE a><a/>`, `<!-- c --><a/>`,
+		`<a>x</a >`, `<a>x</b>`, `<a>x</ab>`, `<a>x</a`, `<a>x`, `<a`, `<`, `<1a/>`, `<a><b></a>`,
+	}
+	for _, s := range notCanonical {
+		if CanonicalContent(s) {
+			t.Errorf("CanonicalContent(%q) = true, want false", s)
+		}
+	}
+	// Every serializer output of a parsed document is canonical unless it
+	// holds a whitespace-only text node (which a reparse would drop).
+	for _, src := range []string{
+		`<r a='1'><x>&#65; &lt;</x><!-- gone --><y><![CDATA[a<b]]></y></r>`,
+		`<?xml version="1.0"?><!DOCTYPE r><r>  <x/>  text  </r>`,
+	} {
+		if out := MustParse("d", src).Serialize(); !CanonicalContent(out) {
+			t.Errorf("serializer output %q (of %q) is not canonical", out, src)
+		}
+	}
+	if out := MustParse("d", `<r><![CDATA[ ]]></r>`).Serialize(); CanonicalContent(out) {
+		t.Errorf("%q reparses without its whitespace text node, so it must not count as canonical", out)
+	}
+}
